@@ -61,7 +61,9 @@ func ReadFrom(r io.Reader) (*Movie, error) {
 	if m.id == "" || m.fps <= 0 || n <= 0 || n > 1<<26 {
 		return nil, fmt.Errorf("mpeg: implausible movie header (id=%q fps=%d frames=%d)", m.id, m.fps, n)
 	}
-	m.frames = make([]FrameInfo, 0, n)
+	// Each frame takes 5 bytes of the file, so a hostile count cannot make
+	// the table allocation outgrow the input.
+	m.frames = make([]FrameInfo, 0, min(n, rd.Remaining()/5))
 	for i := 0; i < n; i++ {
 		class := wire.FrameClass(rd.U8())
 		size := int(rd.U32())

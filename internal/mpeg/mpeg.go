@@ -10,8 +10,10 @@
 package mpeg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -157,30 +159,57 @@ func (m *Movie) Frame(i int) FrameInfo {
 	return m.frames[i]
 }
 
-// FrameData materializes the synthetic payload of frame i: a deterministic
-// byte pattern of the frame's exact size, carrying the frame index in its
-// first bytes so tests can verify end-to-end integrity.
+// FrameData materializes the synthetic payload of frame i, a deterministic
+// byte pattern of the frame's exact size. For a frame of size n:
+//
+//	byte 0:      the frame class
+//	bytes 1–4:   i as a big-endian uint32 (zero bytes when n < 5)
+//	byte j ≥ 5:  byte(i + j), a run that repeats every 256 bytes
+//
+// The embedded class and index let tests verify end-to-end integrity. The
+// pattern is a contract: the shared packet tables and every sender's
+// payload depend on it, and the package tests pin it byte for byte.
 func (m *Movie) FrameData(i int) []byte {
 	return m.AppendFrameData(nil, i)
 }
 
-// AppendFrameData appends frame i's synthetic payload to b and returns the
-// extended slice, so streaming senders can reuse one scratch buffer instead
-// of materializing a fresh payload per frame.
+// patternRun is the longest payload run one copy from payloadPattern
+// covers: longer than any frame Generate makes at the default bit rate.
+const patternRun = 32 << 10
+
+// payloadPattern[k] = byte(k). Every payload run byte(i+j), j ≥ 5, is a
+// window of it starting at (i+5) mod 256.
+var payloadPattern = func() (p [256 + patternRun]byte) {
+	for k := range p {
+		p[k] = byte(k)
+	}
+	return p
+}()
+
+// AppendFrameData appends frame i's synthetic payload (see FrameData) to b
+// and returns the extended slice, so streaming senders can reuse one
+// scratch buffer instead of materializing a fresh payload per frame. The
+// periodic run is block-copied from a static pattern, and runs longer than
+// the pattern continue by doubling what is already written, so the cost is
+// memory bandwidth rather than per-byte work.
 func (m *Movie) AppendFrameData(b []byte, i int) []byte {
 	info := m.frames[i]
 	start := len(b)
-	b = append(b, make([]byte, info.Size)...)
+	b = slices.Grow(b, info.Size)[:start+info.Size]
 	data := b[start:]
 	data[0] = byte(info.Class)
-	if info.Size >= 5 {
-		data[1] = byte(i >> 24)
-		data[2] = byte(i >> 16)
-		data[3] = byte(i >> 8)
-		data[4] = byte(i)
+	if info.Size < 5 {
+		clear(data[1:])
+		return b
 	}
-	for j := 5; j < len(data); j++ {
-		data[j] = byte(i + j)
+	binary.BigEndian.PutUint32(data[1:5], uint32(i))
+	run := data[5:]
+	off := (i + 5) & 0xFF
+	// When the run continues past the first copy, n is patternRun: a whole
+	// number of 256-byte periods, so run[n:] repeats run[:n].
+	n := copy(run, payloadPattern[off:off+patternRun])
+	for ; n < len(run); n *= 2 {
+		copy(run[n:], run[:n])
 	}
 	return b
 }
@@ -217,7 +246,9 @@ func (t *PacketTable) Bytes() int { return len(t.arena) }
 // given channel prefix byte, building it on first use. Each entry is
 // byte-identical to what a per-session encoder would produce: prefix, then
 // AppendMessage of a Frame{Movie, Index, Class, Payload} with the synthetic
-// payload from AppendFrameData.
+// payload from AppendFrameData. The build is one pass over an arena sized
+// exactly up front: each frame's header, then its payload, is written in
+// place, with no scratch payload and no second copy.
 func (m *Movie) Packets(prefix byte) *PacketTable {
 	m.pktMu.Lock()
 	defer m.pktMu.Unlock()
@@ -230,16 +261,11 @@ func (m *Movie) Packets(prefix byte) *PacketTable {
 	per := 1 + 1 + 2 + len(m.id) + 4 + 1 + 4
 	arena := make([]byte, 0, int(m.total)+n*per)
 	offs := make([]int, n+1)
-	f := wire.Frame{Movie: m.id}
-	var payload []byte
-	for i := 0; i < n; i++ {
+	for i, info := range m.frames {
 		offs[i] = len(arena)
 		arena = append(arena, prefix)
-		payload = m.AppendFrameData(payload[:0], i)
-		f.Index = uint32(i)
-		f.Class = m.frames[i].Class
-		f.Payload = payload
-		arena = wire.AppendMessage(arena, &f)
+		arena = wire.AppendFrameHeader(arena, m.id, uint32(i), info.Class, info.Size)
+		arena = m.AppendFrameData(arena, i)
 	}
 	offs[n] = len(arena)
 	t := &PacketTable{arena: arena, offs: offs}

@@ -1,6 +1,7 @@
 package mpeg
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,6 +111,99 @@ func TestFrameData(t *testing.T) {
 	if wire.FrameClass(d[0]) != m.Frame(1234).Class {
 		t.Fatalf("embedded class mismatch")
 	}
+	for _, i := range []int{0, 1, 250, 251, 1234, m.TotalFrames() - 1} {
+		d := m.FrameData(i)
+		for j := 5; j < len(d); j++ {
+			if d[j] != byte(i+j) {
+				t.Fatalf("frame %d byte %d = %#x, want byte(i+j) = %#x", i, j, d[j], byte(i+j))
+			}
+		}
+	}
+}
+
+// refFrameData is the per-byte payload loop the block-copy fill replaced,
+// kept as the oracle for the documented payload pattern.
+func refFrameData(m *Movie, i int) []byte {
+	info := m.Frame(i)
+	data := make([]byte, info.Size)
+	data[0] = byte(info.Class)
+	if info.Size >= 5 {
+		data[1] = byte(i >> 24)
+		data[2] = byte(i >> 16)
+		data[3] = byte(i >> 8)
+		data[4] = byte(i)
+	}
+	for j := 5; j < len(data); j++ {
+		data[j] = byte(i + j)
+	}
+	return data
+}
+
+// movieFile encodes a movie file with the given frame sizes (all B frames
+// except the first) for ReadFrom.
+func movieFile(id string, sizes []int) []byte {
+	b := append([]byte(fileMagic), fileVersion)
+	b = wire.AppendString(b, id)
+	b = wire.AppendU16(b, 30)
+	b = wire.AppendU32(b, uint32(len(sizes)))
+	for i, size := range sizes {
+		class := wire.FrameB
+		if i == 0 {
+			class = wire.FrameI
+		}
+		b = wire.AppendU8(b, uint8(class))
+		b = wire.AppendU32(b, uint32(size))
+	}
+	return b
+}
+
+// TestPacketTableMatchesEncode pins every byte of the shared packet table:
+// packet i is the prefix followed by the encoded Frame carrying the
+// reference payload of frame i. AppendFrameData into a reused scratch
+// buffer full of stale bytes must give the same payload.
+func TestPacketTableMatchesEncode(t *testing.T) {
+	small, err := ReadFrom(bytes.NewReader(movieFile("tiny", []int{1, 2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := ReadFrom(bytes.NewReader(movieFile("big", []int{1 << 20, patternRun + 4, patternRun + 5, patternRun + 6, 3*patternRun + 77})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	movies := map[string]*Movie{
+		"default 90s": paperMovie(),
+		// I frames ≈ 100 KB and P frames ≈ 50 KB exceed the 32 KiB pattern.
+		"high bit rate": Generate("hd", StreamConfig{Duration: 3 * time.Second, BitRate: 8_000_000, Seed: 2}),
+		"sizes 1-6":     small,
+		"long runs":     big,
+	}
+	const prefix = 0x7E
+	stale := bytes.Repeat([]byte{0xFF}, 1<<20)
+	for name, m := range movies {
+		tab := m.Packets(prefix)
+		want := 0
+		for i := 0; i < m.TotalFrames(); i++ {
+			ref := refFrameData(m, i)
+			got := m.AppendFrameData(stale[:0], i)
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("%s: AppendFrameData(%d) into a stale buffer differs from the reference payload", name, i)
+			}
+			for k := range got {
+				got[k] = 0xFF
+			}
+			enc := wire.Encode(&wire.Frame{Movie: m.ID(), Index: uint32(i), Class: m.Frame(i).Class, Payload: ref})
+			if got := tab.Packet(i); !bytes.Equal(got, append([]byte{prefix}, enc...)) {
+				t.Fatalf("%s: packet %d (frame size %d) differs from prefix+Encode", name, i, m.Frame(i).Size)
+			}
+			if tab.WireSize(i) != len(enc) {
+				t.Fatalf("%s: WireSize(%d) = %d, want %d", name, i, tab.WireSize(i), len(enc))
+			}
+			want += 1 + len(enc)
+		}
+		if tab.Bytes() != want {
+			t.Fatalf("%s: arena %d bytes, want %d", name, tab.Bytes(), want)
+		}
+	}
 }
 
 func TestPrevNextIFrame(t *testing.T) {
@@ -180,5 +274,18 @@ func BenchmarkFrameData(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.FrameData(i % m.TotalFrames())
+	}
+}
+
+// BenchmarkPackets90s builds the paper movie's shared packet table once per
+// iteration, on a fresh Movie value so no table is reused across iterations.
+func BenchmarkPackets90s(b *testing.B) {
+	m := paperMovie()
+	b.SetBytes(int64(m.Packets(0).Bytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := &Movie{id: m.id, fps: m.fps, frames: m.frames, total: m.total}
+		fresh.Packets(0)
 	}
 }

@@ -310,10 +310,27 @@ var _ Message = (*Frame)(nil)
 func (*Frame) Kind() Kind { return KindFrame }
 
 func (m *Frame) appendBody(b []byte) []byte {
-	b = AppendString(b, m.Movie)
-	b = AppendU32(b, m.Index)
-	b = AppendU8(b, uint8(m.Class))
-	return AppendBytes(b, m.Payload)
+	b = appendFrameFields(b, m.Movie, m.Index, m.Class, len(m.Payload))
+	return append(b, m.Payload...)
+}
+
+// AppendFrameHeader appends everything of a framed Frame message that
+// precedes its payload — kind byte, movie, index, class and the payload
+// length prefix — so a caller can write the payloadLen payload bytes
+// straight after it. The header followed by the payload is byte-identical
+// to AppendMessage of the same Frame: both share one definition of the
+// layout.
+func AppendFrameHeader(b []byte, movie string, index uint32, class FrameClass, payloadLen int) []byte {
+	return appendFrameFields(AppendU8(b, uint8(KindFrame)), movie, index, class, payloadLen)
+}
+
+// appendFrameFields appends a Frame body up to, and including, the
+// payload length prefix.
+func appendFrameFields(b []byte, movie string, index uint32, class FrameClass, payloadLen int) []byte {
+	b = AppendString(b, movie)
+	b = AppendU32(b, index)
+	b = AppendU8(b, uint8(class))
+	return AppendU32(b, uint32(payloadLen))
 }
 
 func decodeFrame(r *Reader) (Message, error) {

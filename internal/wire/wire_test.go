@@ -157,6 +157,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendFrameHeaderMatchesEncode: a header written by AppendFrameHeader
+// and followed by the payload is exactly the encoded Frame, for empty and
+// non-empty payloads and after existing bytes in the buffer.
+func TestAppendFrameHeaderMatchesEncode(t *testing.T) {
+	for _, payload := range [][]byte{nil, {7}, bytes.Repeat([]byte{0xA5}, 5833)} {
+		f := &Frame{Movie: "casablanca", Index: 0xDEADBEEF, Class: FrameB, Payload: payload}
+		got := AppendFrameHeader([]byte{0x42}, f.Movie, f.Index, f.Class, len(payload))
+		got = append(got, payload...)
+		if want := append([]byte{0x42}, Encode(f)...); !bytes.Equal(got, want) {
+			t.Fatalf("payload %d bytes:\n got %x\nwant %x", len(payload), got[:min(len(got), 32)], want[:min(len(want), 32)])
+		}
+	}
+}
+
 func TestFlowControlRoundTrip(t *testing.T) {
 	for _, k := range []FlowKind{FlowIncrease, FlowDecrease, FlowEmergencyMinor, FlowEmergencyMajor} {
 		in := &FlowControl{ClientID: "c9", Request: k, Occupancy: 53}
