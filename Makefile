@@ -14,9 +14,10 @@ race:        ## race detector over the whole module
 bench:       ## one benchmark per paper figure/table + micro benches
 	go test -bench=. -benchmem ./...
 
-bench-json:  ## hot-path, mpeg packet-table + sweep benchmarks, appended for regression comparison
+bench-json:  ## hot-path, mpeg packet-table, gcs gossip + sweep benchmarks, appended for regression comparison
 	@go test -run='^$$' -bench='^Benchmark(Sim|Fig|Table|Ablation)' -benchmem -json . > BENCH_json.tmp || { cat BENCH_json.tmp; rm -f BENCH_json.tmp; exit 1; }
 	@go test -run='^$$' -bench='^BenchmarkPackets90s$$' -benchmem -json ./internal/mpeg >> BENCH_json.tmp || { cat BENCH_json.tmp; rm -f BENCH_json.tmp; exit 1; }
+	@go test -run='^$$' -bench='^BenchmarkGossipSteady$$' -benchmem -json ./internal/gcs >> BENCH_json.tmp || { cat BENCH_json.tmp; rm -f BENCH_json.tmp; exit 1; }
 	@cat BENCH_json.tmp >> BENCH_hotpath.json
 	@rm -f BENCH_json.tmp
 	@echo "bench-json: appended to BENCH_hotpath.json"
@@ -73,11 +74,12 @@ examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire and movie-file decoders (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire, lease, movie-file and gcs decoders (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeOpenInto$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
 	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
+	go test -run='^$$' -fuzz='^FuzzCodecDecode$$' -fuzztime=10s ./internal/gcs
 
 vet:
 	go vet ./...

@@ -29,8 +29,6 @@ import (
 const (
 	payloadPlain  uint8 = 0
 	payloadAgreed uint8 = 1
-	payloadCausal uint8 = 2
-	payloadSafe   uint8 = 3
 )
 
 // wrapAgreed frames a sequencer-forwarded payload.

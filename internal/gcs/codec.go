@@ -9,14 +9,13 @@ import (
 
 // codec is the per-Process decode-side reuse state: a string intern table
 // (group names and process IDs are drawn from a small, stable universe) and
-// free lists for the hot inbound message kinds and their vector maps.
+// free lists for the hot inbound message kinds.
 // Decoding runs before p.mu is taken — and concurrently under a real clock —
 // so the codec carries its own lock, held across one decode. The codec never
 // calls back into the Process, so the lock nests safely under p.mu.
 type codec struct {
 	mu          sync.Mutex
 	interned    map[string]string
-	freeVec     []map[ProcessID]uint64
 	freeMcast   []*msgMcast
 	freeAck     []*msgAckVec
 	freeDirect  []*msgDirect
@@ -47,28 +46,11 @@ func (c *codec) internLocked(b []byte) string {
 	return s
 }
 
-func (c *codec) getVecLocked(n int) map[ProcessID]uint64 {
-	if k := len(c.freeVec); k > 0 {
-		m := c.freeVec[k-1]
-		c.freeVec = c.freeVec[:k-1]
-		return m
-	}
-	return make(map[ProcessID]uint64, n)
-}
-
-func (c *codec) putVecLocked(m map[ProcessID]uint64) {
-	if m == nil || len(c.freeVec) >= maxFreeList {
-		return
-	}
-	clear(m)
-	c.freeVec = append(c.freeVec, m)
-}
-
 // recycle returns a message's reusable parts to the codec after dispatch.
 // Only kinds whose handlers never retain the decoded form are pooled:
 // multicast payloads are copied when parked (acceptMcastLocked) or buffered
-// for a future view, and ack vectors are folded into persistent per-peer
-// maps (onAckVecLocked). Everything else — view-change traffic, NAKs — is
+// for a future view, and ack vectors are copied into persistent per-peer
+// rows (onAckVecLocked). Everything else — view-change traffic, NAKs — is
 // cold and left to the garbage collector.
 func (c *codec) recycle(msg any) {
 	switch m := msg.(type) {
@@ -81,9 +63,11 @@ func (c *codec) recycle(msg any) {
 		c.mu.Unlock()
 	case *msgAckVec:
 		c.mu.Lock()
-		c.putVecLocked(m.vec)
-		c.putVecLocked(m.contig)
-		*m = msgAckVec{}
+		// Keep the vectors' backing arrays for the next decode.
+		*m = msgAckVec{
+			vec:    idVec{ids: m.vec.ids[:0], vals: m.vec.vals[:0]},
+			contig: idVec{ids: m.contig.ids[:0], vals: m.contig.vals[:0]},
+		}
 		if len(c.freeAck) < maxFreeList {
 			c.freeAck = append(c.freeAck, m)
 		}
@@ -146,17 +130,37 @@ func (c *codec) vecLocked(r *wire.Reader) map[ProcessID]uint64 {
 	if r.Err() != nil {
 		return nil
 	}
-	vec := c.getVecLocked(n)
+	vec := make(map[ProcessID]uint64, n)
 	for i := 0; i < n; i++ {
 		k := c.idLocked(r)
 		v := r.U64()
 		if r.Err() != nil {
-			c.putVecLocked(vec)
 			return nil
 		}
 		vec[k] = v
 	}
 	return vec
+}
+
+// idVecLocked decodes a vector into v's reusable slices, in wire order.
+// A pooled message keeps the ids of its previous decode, which are usually
+// the same view's members in the same order, so an id whose bytes match
+// its predecessor at that index is reused without an intern-table lookup.
+func (c *codec) idVecLocked(r *wire.Reader, v *idVec) {
+	n := int(r.U16())
+	prev := v.ids[:cap(v.ids)]
+	v.ids, v.vals = v.ids[:0], v.vals[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		b := r.StringBytes()
+		var id ProcessID
+		if i < len(prev) && string(prev[i]) == string(b) {
+			id = prev[i]
+		} else {
+			id = ProcessID(c.internLocked(b))
+		}
+		v.ids = append(v.ids, id)
+		v.vals = append(v.vals, r.U64())
+	}
 }
 
 func (c *codec) takeMcastLocked() *msgMcast {
@@ -239,8 +243,8 @@ func (c *codec) decode(buf []byte) (any, error) {
 		av := c.takeAckLocked()
 		av.group = c.stringLocked(r)
 		av.view = c.viewIDLocked(r)
-		av.vec = c.vecLocked(r)
-		av.contig = c.vecLocked(r)
+		c.idVecLocked(r, &av.vec)
+		c.idVecLocked(r, &av.contig)
 		m = av
 	case kindPresence:
 		m = &msgPresence{group: c.stringLocked(r), view: c.viewIDLocked(r), members: c.idsLocked(r)}

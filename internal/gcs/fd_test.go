@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestDetectorForgetsUninterestingPeers(t *testing.T) {
 	// than track the dead process forever.
 	c.settle(3 * time.Second)
 	p.mu.Lock()
-	_, tracked := p.fd.lastHeard["b"]
+	_, tracked := slices.BinarySearch(p.fd.watch, "b")
 	p.mu.Unlock()
 	if tracked {
 		t.Fatal("detector still tracks a peer outside every view")

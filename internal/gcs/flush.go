@@ -202,7 +202,10 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 		oldView:    m.flushOldView.ID,
 		oldMembers: append([]ProcessID(nil), m.flushOldView.Members...),
 		sendSeq:    m.ms.sendSeq,
-		recvNext:   copyVec(m.ms.recvNext),
+		recvNext:   make(map[ProcessID]uint64, len(m.ms.members)),
+	}
+	for s, sender := range m.ms.members {
+		info.recvNext[sender] = m.ms.recvNext[s]
 	}
 	if m.curPID.Coord == m.p.id {
 		m.onSyncInfoLocked(m.p.id, info, cb)
@@ -275,29 +278,24 @@ func (m *Member) onCutLocked(msg *msgCut, cb *callbacks) {
 }
 
 // drainTowardCutLocked delivers parked old-view messages up to (but never
-// beyond) the cut targets, honoring causal readiness, then reports
-// completion if reached. Causal predecessors of in-cut messages are
-// themselves in the cut (see causal.go), so the fixpoint loop reaches the
-// targets once the NAK repair has filled the gaps.
+// beyond) the cut targets, then reports completion if reached. While
+// flushing, m.view is still the old view, so the multicast state's slots
+// are the old view's members.
 func (m *Member) drainTowardCutLocked(cb *callbacks) {
 	if m.status != statusFlushing || m.cutTargets == nil {
 		return
 	}
-	for progress := true; progress; {
-		progress = false
-		for _, sender := range m.flushOldView.Members {
-			target := m.cutTargets[sender]
-			pend := m.ms.pending[sender]
-			for m.ms.recvNext[sender] < target {
-				next := m.ms.recvNext[sender]
-				data, ok := pend[next]
-				if !ok || !m.causalReadyLocked(sender, data) {
-					break // gap or causal wait: NAK repair will progress it
-				}
-				delete(pend, next)
-				m.deliverOneLocked(sender, next, data, cb)
-				progress = true
+	for s, sender := range m.ms.members {
+		target := m.cutTargets[sender]
+		pend := m.ms.pending[s]
+		for m.ms.recvNext[s] < target {
+			next := m.ms.recvNext[s]
+			data, ok := pend[next]
+			if !ok {
+				break // gap: NAK repair will progress it
 			}
+			delete(pend, next)
+			m.deliverOneLocked(s, next, data, cb)
 		}
 	}
 	m.tryCompleteCutLocked(cb)
@@ -309,8 +307,8 @@ func (m *Member) tryCompleteCutLocked(cb *callbacks) {
 	if m.status != statusFlushing || m.cutTargets == nil || m.sentCutDone {
 		return
 	}
-	for _, sender := range m.flushOldView.Members {
-		if m.ms.recvNext[sender] < m.cutTargets[sender] {
+	for s, sender := range m.ms.members {
+		if m.ms.recvNext[s] < m.cutTargets[sender] {
 			return
 		}
 	}
@@ -377,7 +375,7 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	}
 
 	m.view = View{Group: m.group, ID: msg.view, Members: members}
-	m.ms = newMcastState(members)
+	m.ms = newMcastState(members, m.p.id)
 	m.status = statusNormal
 	m.p.ctr.viewChanges.Inc()
 	m.p.cfg.Obs.Event("gcs.view",
@@ -439,8 +437,8 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 func (m *Member) flushTickLocked(cb *callbacks) {
 	if m.cutTargets != nil {
 		m.drainTowardCutLocked(cb)
-		for _, sender := range m.flushOldView.Members {
-			lo := m.ms.recvNext[sender]
+		for s, sender := range m.ms.members {
+			lo := m.ms.recvNext[s]
 			hi := m.cutTargets[sender]
 			if lo >= hi {
 				continue
@@ -469,12 +467,4 @@ func (m *Member) flushTickLocked(cb *callbacks) {
 		m.flushHeard = m.p.cfg.Clock.Now() // pace the escalation
 		m.startProposalLocked(cb)
 	}
-}
-
-func copyVec(v map[ProcessID]uint64) map[ProcessID]uint64 {
-	out := make(map[ProcessID]uint64, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
 }

@@ -27,7 +27,8 @@ package gcs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -58,8 +59,8 @@ type View struct {
 
 // Includes reports whether p is a member of the view.
 func (v View) Includes(p ProcessID) bool {
-	i := sort.Search(len(v.Members), func(i int) bool { return v.Members[i] >= p })
-	return i < len(v.Members) && v.Members[i] == p
+	_, ok := slices.BinarySearch(v.Members, p)
+	return ok
 }
 
 // Coordinator returns the member that coordinates view changes: the lowest
@@ -163,6 +164,13 @@ type Process struct {
 	mu      sync.Mutex
 	closed  bool
 	members map[string]*Member // by group name
+	// ordered holds the same memberships sorted by group name. Anything
+	// that fans out across groups — the per-tick duties, suspicion
+	// handling, shutdown — walks this rather than ranging over the map:
+	// those paths send packets and queue callbacks, and the simulated
+	// network draws loss and jitter from one shared RNG, so map iteration
+	// order would leak into (and randomize) seed-deterministic runs.
+	ordered []*Member
 	fd      *detector
 	direct  func(from ProcessID, payload []byte)
 
@@ -180,10 +188,6 @@ type Process struct {
 	// table. Guarded by p.mu.
 	bufFree *bufPool
 
-	// mScratch backs membersOrderedLocked; consumers finish with the slice
-	// before p.mu is released.
-	mScratch []*Member
-
 	// sendBuf frames outbound Anycast/Send datagrams. Guarded by p.mu and
 	// handed to Endpoint.Send while still held — legal because Send
 	// implementations never retain the payload after returning (the
@@ -195,9 +199,8 @@ type Process struct {
 
 	// Shared-timer state (cfg.SharedTimers): hbTask ticks at tickBase, and
 	// each duty runs when tickCount is divisible by its divisor. tickCount
-	// is guarded by p.mu; tickScratch is a snapshot consumed outside the
-	// lock (member ticks relock p.mu themselves), distinct from mScratch,
-	// whose contract ends when the lock is released.
+	// is guarded by p.mu; tickScratch is a snapshot of p.ordered consumed
+	// outside the lock (member ticks relock p.mu themselves).
 	tickCount                          uint64
 	hbDiv, ackDiv, retransDiv, presDiv uint64
 	tickScratch                        []*Member
@@ -349,10 +352,10 @@ func (p *Process) sharedTick() {
 	var run []*Member
 	if n%p.ackDiv == 0 || n%p.retransDiv == 0 || n%p.presDiv == 0 {
 		// Snapshot into the dedicated scratch: member ticks retake p.mu
-		// themselves, so the snapshot outlives this critical section (which
-		// mScratch must not), and each tick self-guards on m.active if a
-		// membership deactivates in between.
-		run = append(p.tickScratch[:0], p.membersOrderedLocked()...)
+		// themselves, so the snapshot outlives this critical section, and
+		// each tick self-guards on m.active if a membership deactivates in
+		// between.
+		run = append(p.tickScratch[:0], p.ordered...)
 		p.tickScratch = run
 	}
 	p.mu.Unlock()
@@ -391,6 +394,10 @@ func (p *Process) Join(group string, h Handlers, contacts ...ProcessID) (*Member
 	}
 	m := newMember(p, group, h, contacts)
 	p.members[group] = m
+	i, _ := slices.BinarySearchFunc(p.ordered, group, func(m *Member, g string) int {
+		return strings.Compare(m.group, g)
+	})
+	p.ordered = slices.Insert(p.ordered, i, m)
 	var cb callbacks
 	m.installSingleton(&cb)
 	p.mu.Unlock()
@@ -448,8 +455,8 @@ func (p *Process) Close() {
 		return
 	}
 	p.closed = true
-	for _, m := range p.membersOrderedLocked() {
-		m.deactivateLocked()
+	for len(p.ordered) > 0 {
+		p.ordered[0].deactivateLocked() // removes itself from p.ordered
 	}
 	p.mu.Unlock()
 	p.hbTask.Stop()
@@ -469,11 +476,7 @@ func (p *Process) heartbeatTick() {
 	for _, s := range newlySuspected {
 		p.ctr.suspicions.Inc()
 		p.cfg.Obs.Event("gcs.suspect", string(s))
-		// Iterate in group order, not map order: suspicion handling sends
-		// packets and queues callbacks, and every simulated packet draws
-		// from a shared RNG — map order here would make whole runs
-		// irreproducible.
-		for _, m := range p.membersOrderedLocked() {
+		for _, m := range p.ordered {
 			m.onSuspicionLocked(s, &cb)
 		}
 	}
@@ -596,35 +599,11 @@ func (c *callbacks) run() {
 	c.backing, c.entries = nil, nil
 }
 
-// sortIDs sorts ids ascending in place. Insertion sort: membership and key
-// lists are small (tens at most), and unlike sort.Slice this allocates
-// nothing (no closure, no reflect-based swapper), which matters on the
-// per-tick gossip paths.
-func sortIDs(ids []ProcessID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
 // sortedIDs returns a sorted copy of ids with duplicates removed.
 func sortedIDs(ids []ProcessID) []ProcessID {
-	out := make([]ProcessID, 0, len(ids))
-	for _, id := range ids {
-		dup := false
-		for _, seen := range out {
-			if seen == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, id)
-		}
-	}
-	sortIDs(out)
-	return out
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Groups returns the names of the groups this process is currently a
@@ -632,35 +611,11 @@ func sortedIDs(ids []ProcessID) []ProcessID {
 func (p *Process) Groups() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.members))
-	for g, m := range p.members {
+	out := make([]string, 0, len(p.ordered))
+	for _, m := range p.ordered {
 		if m.active {
-			out = append(out, g)
+			out = append(out, m.group)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// membersOrderedLocked returns the memberships sorted by group name.
-// Anything that fans out across groups — suspicion handling, shutdown —
-// must use this rather than ranging over the members map: those paths send
-// packets and queue callbacks, and the simulated network draws loss and
-// jitter from one shared RNG, so map iteration order would leak into (and
-// randomize) otherwise seed-deterministic runs.
-func (p *Process) membersOrderedLocked() []*Member {
-	out := p.mScratch[:0]
-	for _, m := range p.members {
-		out = append(out, m)
-	}
-	// Insertion sort: a process belongs to a handful of groups, and unlike
-	// sort.Slice this allocates nothing. Callers consume the slice before
-	// releasing p.mu, so the scratch can back every call.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].group < out[j-1].group; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	p.mScratch = out
 	return out
 }

@@ -627,3 +627,34 @@ func TestProcessGroups(t *testing.T) {
 		t.Fatalf("Groups after leave = %v", got)
 	}
 }
+
+// TestPlainFIFOViolatesCausality documents the limit of plain multicast:
+// FIFO is per sender only. In {a, b, c} with a→c much slower than a→b and
+// b→c, c hears b's reaction before a's original message. Applications that
+// need one order across senders use agreed multicast.
+func TestPlainFIFOViolatesCausality(t *testing.T) {
+	c := newCluster(t, 1, netsim.Profile{Delay: time.Millisecond})
+	c.join("a", "g")
+	c.join("b", "g", "a")
+	c.join("c", "g", "a")
+	c.waitConverged(3*time.Second, "a", "b", "c")
+	c.net.SetProfile("a", "c", netsim.Profile{Delay: 200 * time.Millisecond})
+
+	if err := c.mem["a"].Multicast([]byte("cause")); err != nil {
+		t.Fatal(err)
+	}
+	// b reacts as soon as it delivers the cause.
+	c.settle(5 * time.Millisecond)
+	if err := c.mem["b"].Multicast([]byte("reaction")); err != nil {
+		t.Fatal(err)
+	}
+	c.settle(time.Second)
+
+	got := agreedOf(c, "c")
+	if len(got) != 2 {
+		t.Fatalf("c delivered %v", got)
+	}
+	if got[0] != "reaction" {
+		t.Skip("network timing did not produce the inversion this run")
+	}
+}

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -73,71 +74,116 @@ type Member struct {
 	debounce     clock.Timer
 	leaveTimer   clock.Timer
 
-	// Reusable scratch for the periodic gossip ticks, guarded by p.mu.
-	// Packets are fully serialized and handed to Send (which copies) before
-	// the lock is released, so one warm buffer set serves every tick.
-	encBuf        []byte
-	vecKeys       []ProcessID
-	contigScratch map[ProcessID]uint64
+	// Reusable encode scratch for the periodic gossip ticks, guarded by
+	// p.mu. Packets are fully serialized and handed to Send (which copies)
+	// before the lock is released, so one warm buffer serves every tick.
+	encBuf []byte
 }
 
-// mcastState is the per-view reliable-FIFO multicast machinery.
+// mcastState is the per-view reliable-FIFO multicast machinery. Every
+// per-member array is indexed by the member's slot: its position in the
+// sorted view membership. The view is immutable while the state lives (a
+// view change installs a fresh mcastState), so slots never move.
 type mcastState struct {
-	sendSeq  uint64                          // next sequence number I assign
-	recvNext map[ProcessID]uint64            // next seq to deliver, per sender
-	pending  map[ProcessID]map[uint64][]byte // received out of order / frozen
-	retained map[ProcessID]map[uint64][]byte // delivered but unstable
-	peerAck  map[ProcessID]map[ProcessID]uint64
-	// peerContig holds each member's received-contiguous watermark — the
-	// acknowledgement the safe-delivery gate waits on (see safe.go).
-	peerContig map[ProcessID]map[ProcessID]uint64
+	members  []ProcessID // the view's sorted membership; slot i is members[i]
+	self     int         // this process's slot
+	sendSeq  uint64      // next sequence number I assign
+	recvNext []uint64    // next seq to deliver, per sender slot
+
+	// pending holds messages received out of order, or frozen during a
+	// flush, per sender slot; a slot's map is made on first use.
+	pending []map[uint64][]byte
+
+	// retained holds delivered but unstable messages, per sender slot.
+	retained []seqLog
+
+	// peerAck[j][i] is member j's last gossiped delivered count for
+	// sender i. A row is nil until member j's first ack vector in this
+	// view; the self row stays nil.
+	peerAck [][]uint64
 }
 
-func newMcastState(members []ProcessID) *mcastState {
+func newMcastState(members []ProcessID, self ProcessID) *mcastState {
+	n := len(members)
 	ms := &mcastState{
-		recvNext:   make(map[ProcessID]uint64, len(members)),
-		pending:    make(map[ProcessID]map[uint64][]byte),
-		retained:   make(map[ProcessID]map[uint64][]byte),
-		peerAck:    make(map[ProcessID]map[ProcessID]uint64),
-		peerContig: make(map[ProcessID]map[ProcessID]uint64),
+		members:  members,
+		recvNext: make([]uint64, n),
+		pending:  make([]map[uint64][]byte, n),
+		retained: make([]seqLog, n),
+		peerAck:  make([][]uint64, n),
 	}
-	for _, m := range members {
-		ms.recvNext[m] = 0
-	}
+	ms.self = ms.slot(self)
 	return ms
 }
 
-// lookup returns the payload of (sender, seq) if this member still has it.
-func (ms *mcastState) lookup(sender ProcessID, seq uint64) ([]byte, bool) {
-	if m := ms.retained[sender]; m != nil {
-		if p, ok := m[seq]; ok {
-			return p, true
-		}
+// slot returns id's slot in the view, or -1 if id is not a member.
+func (ms *mcastState) slot(id ProcessID) int {
+	if i, ok := slices.BinarySearch(ms.members, id); ok {
+		return i
 	}
-	if m := ms.pending[sender]; m != nil {
-		if p, ok := m[seq]; ok {
-			return p, true
-		}
-	}
-	return nil, false
+	return -1
 }
 
-func (ms *mcastState) retain(sender ProcessID, seq uint64, payload []byte) {
-	m := ms.retained[sender]
-	if m == nil {
-		m = make(map[uint64][]byte)
-		ms.retained[sender] = m
+// lookup returns the payload of (sender slot s, seq) if this member still
+// has it.
+func (ms *mcastState) lookup(s int, seq uint64) ([]byte, bool) {
+	if p, ok := ms.retained[s].get(seq); ok {
+		return p, true
 	}
-	m[seq] = payload
+	p, ok := ms.pending[s][seq]
+	return p, ok
 }
 
-func (ms *mcastState) park(sender ProcessID, seq uint64, payload []byte) {
-	m := ms.pending[sender]
-	if m == nil {
-		m = make(map[uint64][]byte)
-		ms.pending[sender] = m
+func (ms *mcastState) park(s int, seq uint64, payload []byte) {
+	if ms.pending[s] == nil {
+		ms.pending[s] = make(map[uint64][]byte)
 	}
-	m[seq] = payload
+	ms.pending[s][seq] = payload
+}
+
+// seqLog holds one sender's delivered-but-unstable messages: data[i] is
+// sequence number base+i. Delivery is FIFO, so the log only grows at the
+// tail, and stability trims it from the head.
+type seqLog struct {
+	base uint64
+	data [][]byte
+}
+
+// push appends the next delivered message.
+func (l *seqLog) push(seq uint64, payload []byte) {
+	if len(l.data) == 0 {
+		l.base = seq
+	}
+	l.data = append(l.data, payload)
+}
+
+func (l *seqLog) get(seq uint64) ([]byte, bool) {
+	if seq < l.base || seq-l.base >= uint64(len(l.data)) {
+		return nil, false
+	}
+	return l.data[seq-l.base], true
+}
+
+// trim drops every message below stable, recycling plain payload buffers
+// into p's pool. Stability means every member delivered the message:
+// handler callbacks have fired and no NAK can ask for it again. Agreed
+// payloads are excluded — their bodies may be parked in holdback state
+// that outlives the carrier buffer's stability.
+func (l *seqLog) trim(stable uint64, p *Process) {
+	n := 0
+	for n < len(l.data) && l.base+uint64(n) < stable {
+		if data := l.data[n]; len(data) > 0 && data[0] == payloadPlain {
+			p.putBufLocked(data)
+		}
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	k := copy(l.data, l.data[n:])
+	clear(l.data[k:])
+	l.data = l.data[:k]
+	l.base += uint64(n)
 }
 
 func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Member {
@@ -168,7 +214,7 @@ func (m *Member) installSingleton(cb *callbacks) {
 		ID:      ViewID{Seq: 1, Coord: m.p.id},
 		Members: []ProcessID{m.p.id},
 	}
-	m.ms = newMcastState(m.view.Members)
+	m.ms = newMcastState(m.view.Members, m.p.id)
 	m.notifyViewLocked(cb)
 	// Announce immediately; the periodic presence task keeps retrying.
 	m.sendPresenceLocked()
@@ -213,7 +259,6 @@ func (m *Member) Multicast(payload []byte) error {
 func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 	seq := m.ms.sendSeq
 	m.ms.sendSeq++
-	m.ms.retain(m.p.id, seq, data)
 	// Encode into the member scratch: Send copies, and the nested dispatch
 	// below (which can re-enter this function through the agreed-forward
 	// path) only runs after the send loop has fully consumed pkt.
@@ -230,11 +275,10 @@ func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
 		}
 	}
-	// Self-delivery goes through the same gated path as everyone else's
-	// messages: plain/causal/agreed payloads deliver immediately from the
-	// head of our own stream, while safe payloads wait for universal
-	// receipt like they must.
-	m.ms.park(m.p.id, seq, data)
+	// Self-delivery goes through the same path as everyone else's
+	// messages; our own stream is always at its head, so it delivers (and
+	// is retained for stability) at once.
+	m.ms.park(m.ms.self, seq, data)
 	m.deliverAllReadyLocked(cb)
 }
 
@@ -259,18 +303,6 @@ func (m *Member) dispatchPayloadLocked(sender ProcessID, data []byte, cb *callba
 			return
 		}
 		m.deliverAgreedLocked(orig, seq, body, cb)
-	case payloadCausal:
-		env, ok := parseCausal(data[1:])
-		if !ok {
-			return
-		}
-		if h := m.handlers.OnMessage; h != nil {
-			cb.addMsg(h, m.group, sender, env.body)
-		}
-	case payloadSafe:
-		if h := m.handlers.OnMessage; h != nil {
-			cb.addMsg(h, m.group, sender, data[1:])
-		}
 	}
 }
 
@@ -335,6 +367,7 @@ func (m *Member) deactivateLocked() {
 	}
 	if m.p.members[m.group] == m {
 		delete(m.p.members, m.group)
+		m.p.ordered = slices.DeleteFunc(m.p.ordered, func(o *Member) bool { return o == m })
 	}
 }
 
@@ -355,7 +388,7 @@ func (m *Member) onMessageLocked(from ProcessID, msg any, cb *callbacks) {
 	case *msgNak:
 		m.onNakLocked(from, msg)
 	case *msgAckVec:
-		m.onAckVecLocked(from, msg, cb)
+		m.onAckVecLocked(from, msg)
 	case *msgPresence:
 		m.onPresenceLocked(from, msg)
 	case *msgLeave:
@@ -402,53 +435,63 @@ func (m *Member) onMcastLocked(msg *msgMcast, cb *callbacks) {
 // deliver is true, in-order messages are delivered immediately along with
 // any unblocked pending ones.
 func (m *Member) acceptMcastLocked(msg *msgMcast, deliver bool, cb *callbacks) {
-	scope := m.view
-	if m.status == statusFlushing {
-		scope = m.flushOldView
-	}
-	if !scope.Includes(msg.sender) {
+	// While flushing, m.view is still the old view being flushed, so its
+	// multicast state scopes the message either way.
+	s := m.ms.slot(msg.sender)
+	if s < 0 {
 		return
 	}
-	next := m.ms.recvNext[msg.sender]
-	if msg.seq < next {
+	if msg.seq < m.ms.recvNext[s] {
 		return // duplicate
 	}
 	// The decoded payload aliases the transport's receive buffer; copy it
 	// into a pooled buffer that lives until stability garbage collection.
 	data := append(m.p.getBufLocked(len(msg.payload)), msg.payload...)
-	m.ms.park(msg.sender, msg.seq, data)
+	m.ms.park(s, msg.seq, data)
 	if deliver {
 		m.deliverAllReadyLocked(cb)
 	}
 }
 
 // deliverAllReadyLocked delivers every pending message that is in FIFO
-// position and causally ready, looping to a fixpoint: delivering one
-// message can unblock causal successors from other senders.
+// position, sender by sender in view order.
 func (m *Member) deliverAllReadyLocked(cb *callbacks) {
-	for progress := true; progress; {
-		progress = false
-		for _, sender := range m.view.Members {
-			pend := m.ms.pending[sender]
-			for {
-				next := m.ms.recvNext[sender]
-				data, ok := pend[next]
-				if !ok || !m.causalReadyLocked(sender, data) || !m.safeReadyLocked(sender, next, data) {
-					break
-				}
-				delete(pend, next)
-				m.deliverOneLocked(sender, next, data, cb)
-				progress = true
+	for s, pend := range m.ms.pending {
+		for len(pend) > 0 {
+			next := m.ms.recvNext[s]
+			data, ok := pend[next]
+			if !ok {
+				break
 			}
+			delete(pend, next)
+			m.deliverOneLocked(s, next, data, cb)
 		}
 	}
 }
 
-// deliverOneLocked delivers one message and retains it for stability.
-func (m *Member) deliverOneLocked(sender ProcessID, seq uint64, data []byte, cb *callbacks) {
-	m.ms.recvNext[sender] = seq + 1
-	m.ms.retain(sender, seq, data)
-	m.dispatchPayloadLocked(sender, data, cb)
+// deliverOneLocked delivers sender slot s's message seq and retains it for
+// stability.
+func (m *Member) deliverOneLocked(s int, seq uint64, data []byte, cb *callbacks) {
+	m.ms.recvNext[s] = seq + 1
+	m.ms.retained[s].push(seq, data)
+	m.dispatchPayloadLocked(m.ms.members[s], data, cb)
+}
+
+// contigForLocked computes this member's received-contiguous watermark for
+// sender slot s: the delivered prefix plus the run of consecutively parked
+// messages after it. Caller holds p.mu.
+func (m *Member) contigForLocked(s int) uint64 {
+	next := m.ms.recvNext[s]
+	pend := m.ms.pending[s]
+	if len(pend) == 0 {
+		return next
+	}
+	for {
+		if _, ok := pend[next]; !ok {
+			return next
+		}
+		next++
+	}
 }
 
 // onNakLocked serves a retransmission request from whatever this member
@@ -457,8 +500,12 @@ func (m *Member) onNakLocked(from ProcessID, msg *msgNak) {
 	if msg.view != m.view.ID && !(m.status == statusFlushing && msg.view == m.flushOldView.ID) {
 		return
 	}
+	s := m.ms.slot(msg.sender)
+	if s < 0 {
+		return
+	}
 	for seq := msg.from; seq < msg.to; seq++ {
-		payload, ok := m.ms.lookup(msg.sender, seq)
+		payload, ok := m.ms.lookup(s, seq)
 		if !ok {
 			continue
 		}
@@ -476,11 +523,8 @@ func (m *Member) onNakLocked(from ProcessID, msg *msgNak) {
 }
 
 // onAckVecLocked folds a stability vector in and garbage-collects retained
-// messages that every member has delivered. The vector also reveals tail
-// loss: the sender's own entry is its send counter, so a higher value than
-// our delivery cursor means messages we never saw — and, being the newest,
-// nothing after them would ever trigger gap detection. NAK immediately.
-func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
+// messages that every member has delivered.
+func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec) {
 	if m.status != statusNormal {
 		return
 	}
@@ -488,22 +532,28 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
 		m.onDivergentTrafficLocked(from, msg.view)
 		return
 	}
-	if !m.view.Includes(from) {
+	ms := m.ms
+	j := ms.slot(from)
+	if j < 0 {
 		return
 	}
 	delete(m.divergeCount, from)
-	// Fold the vectors into persistent per-peer maps rather than retaining
-	// msg's maps: the decode layer recycles them once dispatch returns.
-	mergeVec(&m.ms.peerAck, from, msg.vec)
+	// Copy the vector into the sender's persistent row rather than
+	// retaining msg's slices: the decode layer recycles them once dispatch
+	// returns.
+	row := ms.peerAck[j]
+	if row == nil {
+		row = make([]uint64, len(ms.members))
+		ms.peerAck[j] = row
+	}
+	msg.vec.copyInto(row, ms.members)
 	// Tail-loss repair: the sender's own contig entry equals its send
 	// counter (it parks everything it sends), so a higher value than our
 	// contiguous receipt means messages we never saw — and, being the
 	// newest, nothing after them would trigger ordinary gap detection.
-	theirs := msg.vec[from]
-	if msg.contig != nil && msg.contig[from] > theirs {
-		theirs = msg.contig[from]
-	}
-	if mine := m.contigForLocked(from); theirs > mine {
+	// NAK immediately.
+	theirs := max(row[j], msg.contig.get(from))
+	if mine := m.contigForLocked(j); theirs > mine {
 		nak := encodeNak(&msgNak{
 			group:  m.group,
 			view:   m.view.ID,
@@ -514,59 +564,31 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
 		m.p.ctr.naksSent.Inc()
 		_ = m.p.cfg.Endpoint.Send(from, nak)
 	}
-	if msg.contig != nil {
-		mergeVec(&m.ms.peerContig, from, msg.contig)
-		// Fresh receipt acknowledgements may open the safe-delivery gate.
-		m.deliverAllReadyLocked(cb)
-	}
 	m.gcStableLocked()
 }
 
-// mergeVec replaces (*peer)[from]'s contents with src, reusing the existing
-// map storage when present.
-func mergeVec(peer *map[ProcessID]map[ProcessID]uint64, from ProcessID, src map[ProcessID]uint64) {
-	dst := (*peer)[from]
-	if dst == nil {
-		dst = make(map[ProcessID]uint64, len(src))
-		(*peer)[from] = dst
-	} else {
-		clear(dst)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
+// gcStableLocked drops retained messages every member has delivered: for
+// each sender, those below the minimum of our own delivery cursor and every
+// peer's gossiped count. Nothing is stable until every peer has gossiped.
 func (m *Member) gcStableLocked() {
-	for sender, retained := range m.ms.retained {
-		stable := m.ms.recvNext[sender]
-		for _, member := range m.view.Members {
-			if member == m.p.id {
-				continue
-			}
-			vec := m.ms.peerAck[member]
-			if vec == nil {
-				stable = 0
-				break
-			}
-			if v := vec[sender]; v < stable {
-				stable = v
+	ms := m.ms
+	for j, row := range ms.peerAck {
+		if row == nil && j != ms.self {
+			return
+		}
+	}
+	for s := range ms.retained {
+		log := &ms.retained[s]
+		if len(log.data) == 0 {
+			continue
+		}
+		stable := ms.recvNext[s]
+		for j, row := range ms.peerAck {
+			if j != ms.self {
+				stable = min(stable, row[s])
 			}
 		}
-		for seq, data := range retained {
-			if seq < stable {
-				// Stability means every member delivered it: handler
-				// callbacks have fired and no NAK can ask for it again,
-				// so plain payload buffers are safe to recycle. Tagged
-				// payloads (agreed/causal/safe) are excluded — their
-				// bodies may be parked in holdback state that outlives
-				// the carrier buffer's stability.
-				if len(data) > 0 && data[0] == payloadPlain {
-					m.p.putBufLocked(data)
-				}
-				delete(retained, seq)
-			}
-		}
+		log.trim(stable, m.p)
 	}
 }
 
@@ -756,29 +778,30 @@ func (m *Member) desiredCandidatesLocked() []ProcessID {
 	return sortedIDs(out)
 }
 
-// ackTick gossips the delivery vector for stability.
+// ackTick gossips the delivery vector for stability, and the
+// received-contiguous watermarks whose own entry tail-loss repair reads.
+// Both vectors encode straight from the slot arrays: the view membership
+// is sorted, so slot order is the sorted key order the wire format uses.
+// The packet is built in the member scratch and is complete (and Send
+// copies) before the lock is released.
 func (m *Member) ackTick() {
 	m.p.mu.Lock()
 	if !m.active || m.status != statusNormal || len(m.view.Members) <= 1 {
 		m.p.mu.Unlock()
 		return
 	}
-	if m.contigScratch == nil {
-		m.contigScratch = make(map[ProcessID]uint64, len(m.view.Members))
-	} else {
-		clear(m.contigScratch)
+	ms := m.ms
+	b := appendAckVecHead(m.encBuf[:0], m.group, m.view.ID)
+	b = appendIDVec(b, ms.members, ms.recvNext)
+	b = wire.AppendU16(b, uint16(len(ms.members)))
+	for s, id := range ms.members {
+		b = wire.AppendString(b, string(id))
+		b = wire.AppendU64(b, m.contigForLocked(s))
 	}
-	for _, sender := range m.view.Members {
-		m.contigScratch[sender] = m.contigForLocked(sender)
-	}
-	// Encode straight from the live delivery map into the member scratch:
-	// the packet is complete (and Send copies) before the lock is released,
-	// so neither the map nor the buffer needs a defensive copy.
-	pkt := appendAckVec(m.encBuf[:0], m.group, m.view.ID, m.ms.recvNext, m.contigScratch, &m.vecKeys)
-	m.encBuf = pkt[:0]
-	for _, id := range m.view.Members {
-		if id != m.p.id {
-			_ = m.p.cfg.Endpoint.Send(id, pkt)
+	m.encBuf = b[:0]
+	for s, id := range ms.members {
+		if s != ms.self {
+			_ = m.p.cfg.Endpoint.Send(id, b)
 		}
 	}
 	m.p.mu.Unlock()
@@ -797,15 +820,12 @@ func (m *Member) retransTick() {
 	case statusNormal:
 		m.agreedRetryLocked(&cb)
 		// Ask senders to fill detected gaps.
-		for _, sender := range m.view.Members {
-			if sender == m.p.id {
+		for s, sender := range m.ms.members {
+			pend := m.ms.pending[s]
+			if s == m.ms.self || len(pend) == 0 {
 				continue
 			}
-			pend := m.ms.pending[sender]
-			if len(pend) == 0 {
-				continue
-			}
-			lo := m.ms.recvNext[sender]
+			lo := m.ms.recvNext[s]
 			hi := lo
 			for seq := range pend {
 				if seq >= hi {

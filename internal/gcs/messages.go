@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -76,12 +77,13 @@ type (
 
 	// msgAckVec gossips the member's delivered-count vector, used for
 	// stability (garbage collection of retained messages), plus its
-	// received-contiguous watermark, used by the safe-delivery gate.
+	// received-contiguous watermarks, whose own entry drives tail-loss
+	// repair.
 	msgAckVec struct {
 		group  string
 		view   ViewID
-		vec    map[ProcessID]uint64
-		contig map[ProcessID]uint64
+		vec    idVec
+		contig idVec
 	}
 
 	// msgPresence announces a view to processes outside it, triggering
@@ -144,6 +146,42 @@ type (
 	}
 )
 
+// idVec is a decoded process→seq vector in wire order: ids[i] maps to
+// vals[i]. Encoders write the keys in ascending order, so a vector gossiped
+// within a view lists exactly the view's sorted membership.
+type idVec struct {
+	ids  []ProcessID
+	vals []uint64
+}
+
+// get returns the value for id, or 0 when absent. Like a map decode, a
+// repeated key keeps its last value.
+func (v *idVec) get(id ProcessID) uint64 {
+	for i := len(v.ids) - 1; i >= 0; i-- {
+		if v.ids[i] == id {
+			return v.vals[i]
+		}
+	}
+	return 0
+}
+
+// copyInto writes the vector into row, indexed by slot in the sorted
+// members: entries for other processes are dropped and members the vector
+// omits read 0. Equal ViewIDs mean equal member lists, so a vector
+// gossiped in this view lists exactly members and copies straight across.
+func (v *idVec) copyInto(row []uint64, members []ProcessID) {
+	if slices.Equal(v.ids, members) {
+		copy(row, v.vals)
+		return
+	}
+	clear(row)
+	for k, id := range v.ids {
+		if i, ok := slices.BinarySearch(members, id); ok {
+			row[i] = v.vals[k]
+		}
+	}
+}
+
 // groupOf returns the group a message is scoped to.
 func groupOf(m any) (string, bool) {
 	switch m := m.(type) {
@@ -195,46 +233,32 @@ func appendIDs(b []byte, ids []ProcessID) []byte {
 }
 
 // appendVec encodes a process→seq map in sorted key order so encodings are
-// deterministic (useful for tests and replay). scratch, when non-nil, lends
-// a reusable key buffer so steady-state callers (the ack gossip tick) sort
-// without allocating; it is left reset for the next call.
-func appendVec(b []byte, vec map[ProcessID]uint64, scratch *[]ProcessID) []byte {
-	var keys []ProcessID
-	if scratch != nil {
-		keys = (*scratch)[:0]
-	} else {
-		keys = make([]ProcessID, 0, len(vec))
-	}
+// deterministic (useful for tests and replay). It serves the cold
+// view-change messages; the ack gossip encodes slot arrays (appendIDVec).
+func appendVec(b []byte, vec map[ProcessID]uint64) []byte {
+	keys := make([]ProcessID, 0, len(vec))
 	for k := range vec {
 		keys = append(keys, k)
 	}
-	sortIDs(keys)
+	slices.Sort(keys)
 	b = wire.AppendU16(b, uint16(len(keys)))
 	for _, k := range keys {
 		b = wire.AppendString(b, string(k))
 		b = wire.AppendU64(b, vec[k])
 	}
-	if scratch != nil {
-		*scratch = keys[:0]
-	}
 	return b
 }
 
-func readVec(r *wire.Reader) map[ProcessID]uint64 {
-	n := int(r.U16())
-	if r.Err() != nil {
-		return nil
+// appendIDVec encodes parallel id/value slices in the appendVec layout.
+// Given ids in ascending order, it writes exactly the bytes appendVec
+// writes for the equivalent map.
+func appendIDVec(b []byte, ids []ProcessID, vals []uint64) []byte {
+	b = wire.AppendU16(b, uint16(len(ids)))
+	for i, id := range ids {
+		b = wire.AppendString(b, string(id))
+		b = wire.AppendU64(b, vals[i])
 	}
-	vec := make(map[ProcessID]uint64, n)
-	for i := 0; i < n; i++ {
-		k := ProcessID(r.String())
-		v := r.U64()
-		if r.Err() != nil {
-			return nil
-		}
-		vec[k] = v
-	}
-	return vec
+	return b
 }
 
 // heartbeatPkt is the singleton heartbeat datagram: one constant byte, sent
@@ -283,23 +307,17 @@ func encodeNak(m *msgNak) []byte {
 }
 
 func encodeAckVec(m *msgAckVec) []byte {
-	b := make([]byte, 0, 96)
-	b = wire.AppendU8(b, kindAckVec)
-	b = wire.AppendString(b, m.group)
-	b = appendViewID(b, m.view)
-	b = appendVec(b, m.vec, nil)
-	return appendVec(b, m.contig, nil)
+	b := appendAckVecHead(make([]byte, 0, 96), m.group, m.view)
+	b = appendIDVec(b, m.vec.ids, m.vec.vals)
+	return appendIDVec(b, m.contig.ids, m.contig.vals)
 }
 
-// appendAckVec is encodeAckVec's append-into-scratch form for the periodic
-// ack gossip, which runs hot enough that a fresh packet buffer per tick
-// shows up in profiles.
-func appendAckVec(b []byte, group string, view ViewID, vec, contig map[ProcessID]uint64, scratch *[]ProcessID) []byte {
+// appendAckVecHead writes an ack vector's kind, group and view; the two
+// vectors follow (see Member.ackTick, which encodes them from slot arrays).
+func appendAckVecHead(b []byte, group string, view ViewID) []byte {
 	b = wire.AppendU8(b, kindAckVec)
 	b = wire.AppendString(b, group)
-	b = appendViewID(b, view)
-	b = appendVec(b, vec, scratch)
-	return appendVec(b, contig, scratch)
+	return appendViewID(b, view)
 }
 
 func encodePresence(m *msgPresence) []byte {
@@ -335,7 +353,7 @@ func encodeSyncInfo(m *msgSyncInfo) []byte {
 	b = appendViewID(b, m.oldView)
 	b = appendIDs(b, m.oldMembers)
 	b = wire.AppendU64(b, m.sendSeq)
-	return appendVec(b, m.recvNext, nil)
+	return appendVec(b, m.recvNext)
 }
 
 func encodeCut(m *msgCut) []byte {
@@ -343,7 +361,7 @@ func encodeCut(m *msgCut) []byte {
 	b = wire.AppendU8(b, kindCut)
 	b = wire.AppendString(b, m.group)
 	b = appendPID(b, m.pid)
-	return appendVec(b, m.targets, nil)
+	return appendVec(b, m.targets)
 }
 
 func encodeCutDone(m *msgCutDone) []byte {

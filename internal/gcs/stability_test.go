@@ -33,7 +33,7 @@ func TestStabilityGarbageCollection(t *testing.T) {
 		m.p.mu.Lock()
 		retained := 0
 		for _, byseq := range m.ms.retained {
-			retained += len(byseq)
+			retained += len(byseq.data)
 		}
 		m.p.mu.Unlock()
 		if retained > 10 {
