@@ -37,6 +37,19 @@ func TestClusterMonkey(t *testing.T) {
 	t.Logf("monkey sweep: %s", sum)
 }
 
+// TestChaosSeed31354 replays a schedule that used to strand the movie:
+// server-2 cold-restarts while server-1, first in its fetch rotation, is
+// dead, and 5.9 s later the only holder (server-3) is crashed. The restart
+// must have re-fetched the movie from the live holder by then and take the
+// client over.
+func TestChaosSeed31354(t *testing.T) {
+	if rep := chaos.Run(31354); !rep.OK() {
+		var buf bytes.Buffer
+		rep.Write(&buf)
+		t.Fatalf("invariant violations:\n%s", buf.String())
+	}
+}
+
 // TestPlanDeterministic: the same seed must always produce the same
 // schedule — reproducibility is the whole point of the harness.
 func TestPlanDeterministic(t *testing.T) {

@@ -193,8 +193,14 @@ func NewFetcher(clk clock.Clock, out, in transport.Endpoint, reg *obs.Registry) 
 }
 
 // maxChunkRetries bounds per-chunk retransmissions before the transfer
-// fails (the caller then tries another peer).
-const maxChunkRetries = 20
+// fails (the caller then tries another peer). Until the peer answers once,
+// the tighter maxFirstChunkRetries applies: no data has flowed, so silence
+// means the peer is down or cut off, and the caller is better served trying
+// another one than waiting out a budget sized to ride out loss mid-transfer.
+const (
+	maxChunkRetries      = 20
+	maxFirstChunkRetries = 5
+)
 
 // Fetch retrieves movieID from peer, invoking callback exactly once with
 // the movie or an error. Only one Fetch may be in flight per Fetcher.
@@ -240,13 +246,17 @@ func (f *Fetcher) requestChunk(tr *transfer) {
 		}
 		tr.retries++
 		f.ctrRetries.Inc()
-		if tr.retries > maxChunkRetries {
+		budget := maxChunkRetries
+		if tr.total < 0 {
+			budget = maxFirstChunkRetries
+		}
+		if tr.retries > budget {
 			f.current = nil
 			cb := tr.callback
 			f.mu.Unlock()
 			f.ctrFailed.Inc()
 			f.obs.Event("fetch.fail", tr.movie+" from "+string(tr.peer)+": timeout")
-			cb(nil, fmt.Errorf("fetch: %q from %s: no response after %d retries", tr.movie, tr.peer, maxChunkRetries))
+			cb(nil, fmt.Errorf("fetch: %q from %s: no response after %d retries", tr.movie, tr.peer, budget))
 			return
 		}
 		f.mu.Unlock()

@@ -140,3 +140,26 @@ func TestFetchOneAtATime(t *testing.T) {
 	}
 	clk.Advance(5 * time.Second)
 }
+
+// TestFetchSilentPeerFailsFast: a peer that never answers the first chunk
+// is down or cut off, so the fetch must give up within a couple of seconds
+// and let the caller try another peer, not wait out the mid-transfer loss
+// budget.
+func TestFetchSilentPeerFailsFast(t *testing.T) {
+	clk, f, _ := fetchRig(t, netsim.LAN(), time.Minute)
+	var failedAt time.Time
+	if err := f.Fetch("feature", "nobody", func(m *mpeg.Movie, err error) {
+		if err != nil {
+			failedAt = clk.Now()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Second)
+	if failedAt.IsZero() {
+		t.Fatal("fetch from a silent peer never failed")
+	}
+	if took := failedAt.Sub(epoch); took > 2*time.Second {
+		t.Fatalf("fetch from a silent peer failed after %v, want ≤ 2s", took)
+	}
+}

@@ -27,6 +27,7 @@ func (s *Server) fetchNext(missing []string, peers []gcs.ProcessID, peerIdx int)
 	if len(peers) == 0 {
 		return // no peers configured; nothing to fetch from
 	}
+	peerIdx = s.fetchPeer(peers, peerIdx)
 	peer := peers[peerIdx%len(peers)]
 	err := s.fetcher.Fetch(movieID, peer, func(m *mpeg.Movie, err error) {
 		if err != nil {
@@ -51,4 +52,24 @@ func (s *Server) fetchNext(missing []string, peers []gcs.ProcessID, peerIdx int)
 			s.fetchNext(missing, peers, peerIdx)
 		})
 	}
+}
+
+// fetchPeer returns the rotation index of the next peer to fetch from: the
+// first at or after idx that is in the current server-group view, so a
+// restarted server skips peers the group already knows are gone. While the
+// view holds no other server, plain rotation.
+func (s *Server) fetchPeer(peers []gcs.ProcessID, idx int) int {
+	s.mu.Lock()
+	sg := s.serverGroup
+	s.mu.Unlock()
+	if sg == nil {
+		return idx
+	}
+	v := sg.View()
+	for k := range peers {
+		if p := peers[(idx+k)%len(peers)]; string(p) != s.cfg.ID && v.Includes(p) {
+			return idx + k
+		}
+	}
+	return idx
 }

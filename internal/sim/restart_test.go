@@ -74,6 +74,49 @@ func TestRestartServerRefetches(t *testing.T) {
 	}
 }
 
+// TestRestartFetchSkipsDeadPeers: a cold restart must re-fetch from a live
+// holder even when the peers ahead of it in its fetch rotation are dead.
+// server-4 restarts while server-1 and server-2 are down and server-3, last
+// in its rotation, is the only holder; server-3 crashes 4 s later. The
+// restart must already hold the movie by then — it skips peers outside its
+// server-group view once the view has formed — and take the client over.
+func TestRestartFetchSkipsDeadPeers(t *testing.T) {
+	servers := []string{"server-1", "server-2", "server-3", "server-4"}
+	res := Run(Scenario{
+		Name:    "restart-dead-peers",
+		Profile: netsim.LAN(),
+		Seed:    1,
+		Servers: servers,
+		Peers:   servers,
+		Events: []Event{
+			{At: 10 * time.Second, Label: "crash", Do: func(rt *Runtime) {
+				for _, id := range []string{"server-1", "server-2", "server-4"} {
+					if err := rt.CrashServer(id); err != nil {
+						t.Errorf("CrashServer(%s): %v", id, err)
+					}
+				}
+			}},
+			{At: 15 * time.Second, Label: "restart", Do: func(rt *Runtime) {
+				if err := rt.RestartServer("server-4"); err != nil {
+					t.Errorf("RestartServer: %v", err)
+				}
+			}},
+			{At: 19 * time.Second, Label: "crash holder", Do: func(rt *Runtime) {
+				if err := rt.CrashServer("server-3"); err != nil {
+					t.Errorf("CrashServer(server-3): %v", err)
+				}
+			}},
+		},
+	})
+	if got := res.Obs["server-4"].Counters["fetch.movies_fetched"]; got != 1 {
+		t.Fatalf("restarted server fetch.movies_fetched = %d, want 1", got)
+	}
+	last := res.ServingServer.Values[len(res.ServingServer.Values)-1]
+	if last != 3 { // index 3 = "server-4" in sorted peer order
+		t.Errorf("final serving server index = %v, want 3 (server-4)", last)
+	}
+}
+
 // TestClientSurvivesFullPartition cuts the client off from the entire
 // cluster — the fault no server-side failover can mask. The client must
 // starve, re-anycast the Open with backoff until the partition heals, and
